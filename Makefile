@@ -54,10 +54,11 @@ batch-bench:
 	$(GO) run ./cmd/batchbench -quick -out BATCH_BENCH.json
 
 # The CI daemon-smoke job: full helmd lifecycle (signals, reload, drain)
-# plus the server chaos test, both under the race detector.
+# plus the server chaos test and the batcher-owned panic, mid-request
+# reload and batch-core tests, all under the race detector.
 daemon-smoke:
 	$(GO) test -race -count=2 -run 'TestDaemonLifecycle|TestFlagErrors' ./cmd/helmd/
-	$(GO) test -race -run TestChaosLifecycle ./internal/server/
+	$(GO) test -race -run 'TestChaosLifecycle|TestPanicRecovery|TestHotReloadDoesNotMixGenerationsMidRequest|TestBatchMode' ./internal/server/
 
 # The CI fleet-smoke job: the 3-replica gateway chaos acceptance test
 # (replica kill, hot reload, drain cycle mid-traffic; zero failed

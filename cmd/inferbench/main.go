@@ -4,7 +4,7 @@
 // read syscalls or mmap, with and without layer prefetch) — and writes
 // the results as JSON (BENCH_3.json in the repo's benchmark trajectory).
 //
-// Beyond BENCH_2's serial-vs-parallel wall times, every generate row
+// Beyond serial-vs-parallel wall times, every generate row
 // records allocations and bytes per token (runtime.ReadMemStats deltas
 // around the timed generation) and tokens/sec, so the zero-alloc decode
 // claims are measured, not asserted. Rows form identity groups — all

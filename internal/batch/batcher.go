@@ -25,6 +25,7 @@ import (
 	"helmsim/internal/infer"
 	"helmsim/internal/kvcache"
 	"helmsim/internal/serve"
+	"helmsim/internal/tensor"
 )
 
 // ErrStopped rejects work submitted to a stopped batcher.
@@ -33,6 +34,11 @@ var ErrStopped = errors.New("batch: batcher stopped")
 // ErrBusy rejects work when the admission queue is at capacity — the
 // caller's cue to shed instead of queueing unboundedly.
 var ErrBusy = errors.New("batch: queue full")
+
+// ErrPanicked fails the running set of a step whose engine or store
+// panicked. The batcher survives; its engine's scratch state is
+// suspect, so the owner should replace the batcher.
+var ErrPanicked = errors.New("batch: step panicked")
 
 // Options tunes a Batcher.
 type Options struct {
@@ -242,6 +248,20 @@ func deliver(r *request, tokens []int, err error) {
 	r.ch <- result{tokens: tokens, err: err}
 }
 
+// settle counts a finished request in stats, then delivers it, so a
+// caller whose Submit returned always finds its request counted. The
+// caller must not hold b.mu.
+func (b *Batcher) settle(r *request, err error) {
+	b.mu.Lock()
+	if err != nil {
+		b.stats.Failed++
+	} else {
+		b.stats.Completed++
+	}
+	b.mu.Unlock()
+	deliver(r, r.out, err)
+}
+
 // loop is the scheduler: admit, step, retire, repeat.
 func (b *Batcher) loop() {
 	defer close(b.loopDone)
@@ -392,8 +412,14 @@ func (b *Batcher) step() {
 	}
 
 	seqs := b.buildStep()
-	logits, err := b.se.Step(seqs)
+	logits, err := b.runStep(seqs)
 	for retries := 0; err != nil; retries++ {
+		if errors.Is(err, ErrPanicked) {
+			// A panicked step never rolled back; releasing the running
+			// sequences returns every page they held, appended or not.
+			b.failAllRunning(err)
+			return
+		}
 		// The step rolled every view back to its pre-step length; free
 		// the pages the aborted step had claimed so the ledger reflects
 		// committed state only.
@@ -422,11 +448,11 @@ func (b *Batcher) step() {
 			b.mu.Unlock()
 		}
 		seqs = b.buildStep()
-		logits, err = b.se.Step(seqs)
+		logits, err = b.runStep(seqs)
 	}
 
 	// Commit: advance positions, sample, retire finished sequences.
-	var tokensOut, finished int
+	var tokensOut int
 	kept := b.running[:0]
 	for i, s := range b.running {
 		s.pos += len(s.pending)
@@ -441,16 +467,11 @@ func (b *Batcher) step() {
 		s.req.out = append(s.req.out, next)
 		tokensOut++
 		if len(s.req.out) >= s.req.maxNew {
-			if err := b.pool.Release(s.id); err != nil {
-				deliver(s.req, s.req.out, fmt.Errorf("batch: releasing finished sequence: %w", err))
-				b.mu.Lock()
-				b.stats.Failed++
-				b.mu.Unlock()
-				finished++
-				continue
+			err := b.pool.Release(s.id)
+			if err != nil {
+				err = fmt.Errorf("batch: releasing finished sequence: %w", err)
 			}
-			deliver(s.req, s.req.out, nil)
-			finished++
+			b.settle(s.req, err)
 			continue
 		}
 		s.tok[0] = next
@@ -466,19 +487,28 @@ func (b *Batcher) step() {
 	b.stats.Steps++
 	b.stats.OccupancySum += len(seqs)
 	b.stats.TokensOut += tokensOut
-	b.stats.Completed += finished
 	b.mu.Unlock()
+}
+
+// runStep is the engine step behind the batcher's panic boundary: a
+// panicking engine or store becomes an ErrPanicked step error, so it
+// fails the running set instead of the process.
+func (b *Batcher) runStep(seqs []*infer.StepSeq) (logits []tensor.Mat, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrPanicked, r)
+		}
+	}()
+	return b.se.Step(seqs)
 }
 
 // retireCancelled releases running sequences whose contexts ended.
 func (b *Batcher) retireCancelled() {
 	kept := b.running[:0]
-	var failed int
 	for _, s := range b.running {
 		if err := s.req.ctx.Err(); err != nil {
 			_ = b.pool.Release(s.id)
-			deliver(s.req, s.req.out, err)
-			failed++
+			b.settle(s.req, err)
 			continue
 		}
 		kept = append(kept, s)
@@ -487,11 +517,6 @@ func (b *Batcher) retireCancelled() {
 		b.running[i] = nil
 	}
 	b.running = kept
-	if failed > 0 {
-		b.mu.Lock()
-		b.stats.Failed += failed
-		b.mu.Unlock()
-	}
 }
 
 // preemptLowestYoungest evicts the most recently admitted sequence of
@@ -520,10 +545,7 @@ func (b *Batcher) preemptLowestYoungest() bool {
 	b.running[len(b.running)-1] = nil
 	b.running = b.running[:len(b.running)-1]
 	if err := b.pool.Release(victim.id); err != nil {
-		deliver(victim.req, victim.req.out, fmt.Errorf("batch: releasing preempted sequence: %w", err))
-		b.mu.Lock()
-		b.stats.Failed++
-		b.mu.Unlock()
+		b.settle(victim.req, fmt.Errorf("batch: releasing preempted sequence: %w", err))
 		return true
 	}
 	b.mu.Lock()
@@ -538,17 +560,10 @@ func (b *Batcher) preemptLowestYoungest() bool {
 // failAllRunning fails every running request with err and releases
 // their pages.
 func (b *Batcher) failAllRunning(err error) {
-	var failed int
-	for _, s := range b.running {
+	for i, s := range b.running {
 		_ = b.pool.Release(s.id)
-		deliver(s.req, s.req.out, err)
-		failed++
-	}
-	for i := range b.running {
+		b.settle(s.req, err)
 		b.running[i] = nil
 	}
 	b.running = b.running[:0]
-	b.mu.Lock()
-	b.stats.Failed += failed
-	b.mu.Unlock()
 }

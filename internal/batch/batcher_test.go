@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"helmsim/internal/infer"
@@ -374,6 +375,68 @@ func TestLoneOversizedRequestFails(t *testing.T) {
 	_, err = b.Submit(context.Background(), []int{1, 2, 3, 4, 5, 6}, 8)
 	if !errors.Is(err, kvcache.ErrOutOfPages) {
 		t.Fatalf("oversized request: got %v, want ErrOutOfPages", err)
+	}
+}
+
+// panicStore panics on every read while armed.
+type panicStore struct {
+	backing infer.WeightStore
+	armed   atomic.Bool
+}
+
+func (p *panicStore) Tensor(layer int, name string) ([]float32, error) {
+	if p.armed.Load() {
+		panic("injected storage panic")
+	}
+	return p.backing.Tensor(layer, name)
+}
+
+// TestStepPanicFailsRunningSet: a store panicking mid-step fails the
+// running request with ErrPanicked and releases its pages instead of
+// crashing the process, and the batcher keeps serving.
+func TestStepPanicFailsRunningSet(t *testing.T) {
+	cfg := batchConfig()
+	w, err := infer.RandomWeights(cfg, 37, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := &panicStore{backing: w}
+	b := newTestBatcher(t, cfg, ps, 32, 4, Options{MaxSeqs: 2})
+	ps.armed.Store(true)
+	if _, err := b.Submit(context.Background(), []int{1, 2, 3}, 4); !errors.Is(err, ErrPanicked) {
+		t.Fatalf("submit over a panicking store: got %v, want ErrPanicked", err)
+	}
+	ps.armed.Store(false)
+	got, err := b.Submit(context.Background(), []int{1, 2, 3}, 4)
+	if err != nil {
+		t.Fatalf("batcher did not survive the panic: %v", err)
+	}
+	if want := soloGenerate(t, cfg, w, []int{1, 2, 3}, 4); !equalInts(got, want) {
+		t.Fatalf("post-panic tokens %v, want %v", got, want)
+	}
+	b.Stop()
+	if st := b.Stats(); st.Failed != 1 || st.Completed != 1 || st.Pool.Seqs != 0 {
+		t.Fatalf("after a panicked step: %+v, want 1 failed, 1 completed, no live sequences", st)
+	}
+}
+
+// TestStatsCountBeforeDelivery: a request is counted in Stats by the
+// time its Submit returns.
+func TestStatsCountBeforeDelivery(t *testing.T) {
+	cfg := batchConfig()
+	w, err := infer.RandomWeights(cfg, 41, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newTestBatcher(t, cfg, w, 32, 4, Options{MaxSeqs: 2})
+	defer b.Stop()
+	for i := 1; i <= 50; i++ {
+		if _, err := b.Submit(context.Background(), []int{1, 2}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Stats().Completed; got != i {
+			t.Fatalf("after %d returned submissions Stats().Completed = %d", i, got)
+		}
 	}
 }
 

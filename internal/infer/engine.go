@@ -203,15 +203,6 @@ func (e *Engine) DegradedFetches() int {
 	return e.prefetch.DegradedFetches()
 }
 
-// SettlePrefetch joins any in-flight background prefetch without
-// consuming or cancelling it (no-op for a plain New engine): after it
-// returns, the engine issues no store fetches until the next Forward.
-func (e *Engine) SettlePrefetch() {
-	if e.prefetch != nil {
-		e.prefetch.Settle()
-	}
-}
-
 // Close stops the background prefetcher, if any. Engines over plain
 // stores need no teardown and return nil.
 func (e *Engine) Close() error {

@@ -197,9 +197,11 @@ func (s *PrefetchStore) Tensor(layer int, name string) ([]float32, error) {
 // way.
 func (s *PrefetchStore) bundle(layer int) (*layerBundle, error) {
 	s.mu.Lock()
-	if b := s.cur; b != nil && b.layer == layer {
+	// A failed current bundle is a miss, not an answer: replaying its
+	// error would pin the layer broken after the store recovers.
+	if b := s.cur; b != nil && b.layer == layer && b.err == nil {
 		s.mu.Unlock()
-		return b, b.err
+		return b, nil
 	}
 	idx := -1
 	for i, t := range s.pending {
@@ -440,9 +442,8 @@ func (s *PrefetchStore) DegradedFetches() int {
 }
 
 // Settle blocks until no background fetch is in flight, leaving the
-// completed prefetches pending for the next consumer. Serving workers
-// call it between requests so no fetch issued under one request's
-// generation pin outlives that pin.
+// completed prefetches pending for the next consumer, so no fetch
+// overlaps what the caller does next.
 func (s *PrefetchStore) Settle() {
 	s.mu.Lock()
 	ts := append([]*fetchTicket(nil), s.pending...)

@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"helmsim/internal/fault"
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
@@ -201,6 +203,58 @@ func TestPrefetchErrorPropagation(t *testing.T) {
 	}
 	if !errors.Is(err, errSynthetic) {
 		t.Errorf("error lost its cause: %v", err)
+	}
+}
+
+// outageStore fails every read transiently while down and serves
+// normally once it comes back up.
+type outageStore struct {
+	backing WeightStore
+	down    atomic.Bool
+}
+
+func (o *outageStore) Tensor(layer int, name string) ([]float32, error) {
+	if o.down.Load() {
+		return nil, fmt.Errorf("outage at L%d/%s: %w", layer, name, fault.ErrTransient)
+	}
+	return o.backing.Tensor(layer, name)
+}
+
+// A layer whose fetch failed during a storage outage is fetched again
+// once the store recovers: the prefetcher must not replay the failed
+// fetch's error for the rest of its life.
+func TestPrefetchRecoversAfterOutage(t *testing.T) {
+	mc := tinyOPT()
+	raw, err := RandomWeights(mc, 2, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(mc, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Generate([]int{1, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &outageStore{backing: raw}
+	eng, err := NewPrefetchedResilient(mc, store, Retry{Max: 2, Sleep: noSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	store.down.Store(true)
+	if _, err := eng.Generate([]int{1, 2}, 3); err == nil {
+		t.Fatal("generation succeeded during a total outage")
+	}
+	store.down.Store(false)
+	eng.Reset()
+	got, err := eng.Generate([]int{1, 2}, 3)
+	if err != nil {
+		t.Fatalf("generation after the store recovered: %v", err)
+	}
+	if !equalInts(got, want) {
+		t.Fatalf("post-outage tokens %v, want %v", got, want)
 	}
 }
 

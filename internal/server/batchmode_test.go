@@ -44,7 +44,7 @@ func TestBatchModeMatchesDirectEngine(t *testing.T) {
 
 	s, ts := startServer(t, Config{
 		Model: mc, OpenStore: fileOpener(path), Workers: 3,
-		Batch: BatchConfig{Enabled: true, MaxSeqs: 2, KVPages: 64, PageTokens: 4},
+		Batch: BatchConfig{MaxSeqs: 2, KVPages: 64, PageTokens: 4},
 	})
 
 	var wg sync.WaitGroup
@@ -72,7 +72,7 @@ func TestBatchModeMatchesDirectEngine(t *testing.T) {
 		t.Fatalf("ledger not conserved: %+v", st)
 	}
 	if st.Batch == nil {
-		t.Fatal("batch mode must publish a batch snapshot")
+		t.Fatal("the daemon must publish a batch snapshot")
 	}
 	if st.Batch.Completed != int(st.Served) || st.Batch.Steps == 0 {
 		t.Fatalf("batch snapshot inconsistent with server counters: %+v vs served %d", st.Batch, st.Served)
@@ -91,7 +91,7 @@ func TestBatchModePagePressureSheds(t *testing.T) {
 	s, ts := startServer(t, Config{
 		Model: mc, OpenStore: fileOpener(path), Workers: 1, MaxTokens: 64,
 		// 4 pages of 4 = 16 positions total.
-		Batch: BatchConfig{Enabled: true, MaxSeqs: 2, KVPages: 4, PageTokens: 4},
+		Batch: BatchConfig{MaxSeqs: 2, KVPages: 4, PageTokens: 4},
 	})
 	code, _, msg := postGenerate(t, ts.URL, GenerateRequest{Prompt: []int{1, 2, 3, 4}, MaxTokens: 32})
 	if code != http.StatusServiceUnavailable {
@@ -129,7 +129,7 @@ func TestBatchModeHotReload(t *testing.T) {
 			return fileOpener(p)()
 		},
 		Workers: 2,
-		Batch:   BatchConfig{Enabled: true, MaxSeqs: 2, KVPages: 64, PageTokens: 4},
+		Batch:   BatchConfig{MaxSeqs: 2, KVPages: 64, PageTokens: 4},
 	})
 
 	prompt := []int{2, 4, 6}
@@ -176,7 +176,7 @@ func TestBatchModeDrain(t *testing.T) {
 	path, _ := writeCheckpoint(t, mc, 9)
 	s, err := New(context.Background(), Config{
 		Model: mc, OpenStore: fileOpener(path), Workers: 2,
-		Batch: BatchConfig{Enabled: true, MaxSeqs: 2, KVPages: 64, PageTokens: 4},
+		Batch: BatchConfig{MaxSeqs: 2, KVPages: 64, PageTokens: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

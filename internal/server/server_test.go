@@ -126,6 +126,8 @@ func TestConfigValidation(t *testing.T) {
 		{Model: mc, OpenStore: open, RequestTimeout: -1},
 		{Model: mc, OpenStore: open, Retry: infer.Retry{Max: -1}},
 		{Model: mc, OpenStore: open, Breaker: BreakerConfig{TripRate: 2}},
+		{Model: mc, OpenStore: open, Batch: BatchConfig{MaxSeqs: -1}},
+		{Model: mc, OpenStore: open, Batch: BatchConfig{KVPages: -1}},
 		{OpenStore: open}, // invalid model
 	}
 	for i, cfg := range bad {
